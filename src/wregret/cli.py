@@ -2,13 +2,15 @@
 
 Exit codes: 0 on success (including reports of axiom violations or
 non-representability, which are answers), 1 on domain errors such as an
-impossible observation, 2 on usage or parse errors.
+impossible observation, 2 on usage or parse errors.  Any other exception
+is reported in one line and exits 1, never as a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -488,7 +490,13 @@ def cmd_weight(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Argparse objects form reference cycles, so a parser per call would leave
+    garbage for the cycle collector on every in-process invocation.
+    """
     parser = argparse.ArgumentParser(
         prog="wregret",
         description=(
@@ -588,6 +596,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # Exact rationals outgrow CPython's default 4300-digit limit on int/str
+    # conversion (long observation streams do); documents carry them as text.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -600,6 +612,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

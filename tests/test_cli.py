@@ -1,8 +1,10 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+import wregret.cli
 from wregret.cli import approx6, main
 from wregret import rat
 
@@ -255,3 +257,72 @@ def test_approx6_rounding():
     assert approx6(rat("-1/9")) == "-0.111111"
     assert approx6(rat("1")) == "1.000000"
     assert approx6(rat("1/2000000")) == "0.000000"
+
+
+@pytest.fixture
+def default_int_str_limit():
+    """Restore CPython's default int/str digit limit for one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int/str digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+# A weight of 10**4999 / (10**5000 + 1), in lowest terms, with more digits
+# than the default 4300-digit limit; written as text, so building it needs
+# no int/str conversion.
+HUGE = "1" + "0" * 4999 + "/1" + "0" * 4999 + "1"
+
+
+def test_huge_rational_through_weight(capsys, tmp_path, default_int_str_limit):
+    table = tmp_path / "f.json"
+    table.write_text(
+        json.dumps(
+            {"states": ["a", "b"], "values": {"": "1", "a": HUGE, "b": "1", "ab": "0"}}
+        )
+    )
+    measure = tmp_path / "q.json"
+    measure.write_text(json.dumps({"states": ["a", "b"], "mass": ["0", "1"]}))
+    argv = ["weight", "-f", str(table), "-q", str(measure)]
+    code, out, err = run(capsys, argv + ["--json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"weight": HUGE}
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == f"canonical weight: {HUGE} (0.100000)\n"
+
+
+def test_huge_rational_learn_roundtrip(capsys, tmp_path, default_int_str_limit):
+    doc = {
+        "states": ["a", "b"],
+        "entries": [
+            {"mass": ["1", "0"], "weight": "1"},
+            {"mass": ["0", "1"], "weight": HUGE},
+        ],
+    }
+    pset = tmp_path / "p.json"
+    pset.write_text(json.dumps(doc))
+    model = tmp_path / "m.json"
+    model.write_text(
+        json.dumps({"alphabet": ["x", "y"], "likelihoods": [["1/2", "1/2"]] * 2})
+    )
+    code, out, err = run(capsys, ["learn", "-p", str(pset), "-o", str(model), "-s", "x"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == doc
+    again = tmp_path / "p1.json"
+    again.write_text(out)
+    code, out2, err = run(capsys, ["learn", "-p", str(again), "-o", str(model), "-s", "x"])
+    assert (code, err) == (0, "")
+    assert out2 == out
+
+
+def test_unexpected_exception_exits_one(capsys, monkeypatch):
+    def fail(_table):
+        raise RuntimeError("simplex certificate failed exact verification")
+
+    monkeypatch.setattr(wregret.cli, "representability", fail)
+    code, out, err = run(capsys, GOLDEN_COMMANDS["represent.txt"])
+    assert (code, out) == (1, "")
+    assert err == "error: RuntimeError: simplex certificate failed exact verification\n"
