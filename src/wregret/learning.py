@@ -4,13 +4,23 @@ Each observation multiplies every entry's weight by the probability that
 entry assigns to the observation, then rescales so the maximum weight is 1.
 Entries whose weight hits 0 are retained by default; adding or keeping
 zero-weight measures never changes any regret or likelihood value.
+
+The fold runs on integers.  The prior weights are put over their least
+common denominator, and each symbol's column of model likelihoods over its
+own, which gives integer scores and integer columns.  An observation
+multiplies the scores by its column.  Every score then carries the same
+positive factor, so dividing by the largest score gives exactly the weights
+of the step-by-step rescaling.  That division happens once per query: once
+at the end for the updated set, and once per step for a trajectory, which
+never builds the intermediate sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     DomainError,
@@ -22,7 +32,7 @@ from .core import (
     rat,
     rat_str,
 )
-from .likelihood import AmbiguityInterval, ambiguity_interval
+from .likelihood import AmbiguityInterval
 
 __all__ = [
     "ObservationModel",
@@ -98,6 +108,57 @@ def _require_aligned(count: int, model: ObservationModel) -> None:
         )
 
 
+def _over_lcd(values: Sequence[Rat]) -> tuple[list[int], int]:
+    """Numerators of the values over their least common denominator."""
+    lcd = lcm(*[value.denominator for value in values])
+    return [value.numerator * (lcd // value.denominator) for value in values], lcd
+
+
+def _score_prefixes(
+    credal: WeightedCredalSet, model: ObservationModel, observations: Iterable[str]
+) -> Iterator[tuple[list[int], int]]:
+    """Integer weight scores after each prefix of the observations.
+
+    Yields ``(scores, scale)`` such that the fold's weight of entry i after
+    that prefix is exactly ``Fraction(scores[i], scale)``, starting with the
+    prior.  Every step multiplies the scores by the observed symbol's
+    integer column, whose common denominator is the same factor for every
+    entry, so after an observation the scale is simply the largest score.
+    """
+    _require_aligned(len(credal), model)
+    scores, scale = _over_lcd(credal.weights)
+    yield scores, scale
+    columns = [_over_lcd(column)[0] for column in zip(*model.rows)]
+    for observation in observations:
+        column = columns[model.symbol_index(observation)]
+        scores = [score * factor for score, factor in zip(scores, column)]
+        scale = max(scores)
+        if scale == 0:
+            raise DomainError(
+                f"observation {observation!r} is impossible: every measure with "
+                "positive weight assigns it probability 0"
+            )
+        yield scores, scale
+
+
+def _posterior(
+    credal: WeightedCredalSet,
+    model: ObservationModel,
+    observations: Iterable[str],
+    drop_zero: bool,
+) -> WeightedCredalSet:
+    """The set reweighted by the whole stream, normalized once."""
+    for scores, scale in _score_prefixes(credal, model, observations):
+        pass
+    return WeightedCredalSet(
+        tuple(
+            (measure, Fraction(score, scale))
+            for measure, score in zip(credal.measures, scores)
+            if not (drop_zero and score == 0)
+        )
+    )
+
+
 def update_weights(
     credal: WeightedCredalSet,
     model: ObservationModel,
@@ -110,23 +171,7 @@ def update_weights(
     observation, divided by the maximum of those products, so the maximum
     new weight is exactly 1.
     """
-    _require_aligned(len(credal), model)
-    symbol = model.symbol_index(observation)
-    scores = [
-        weight * model.rows[i][symbol] for i, (_, weight) in enumerate(credal.entries)
-    ]
-    top = max(scores)
-    if top == 0:
-        raise DomainError(
-            f"observation {observation!r} is impossible: every measure with "
-            "positive weight assigns it probability 0"
-        )
-    entries = tuple(
-        (measure, score / top)
-        for (measure, _), score in zip(credal.entries, scores)
-        if not (drop_zero and score == 0)
-    )
-    return WeightedCredalSet(entries)
+    return _posterior(credal, model, (observation,), drop_zero)
 
 
 def update_weights_sequence(
@@ -137,18 +182,15 @@ def update_weights_sequence(
 ) -> WeightedCredalSet:
     """Fold of single-step updates over an observation sequence.
 
-    For i.i.d. models this equals normalizing each entry's joint likelihood
-    of the whole sequence, so the result is order independent.  Zero-weight
-    entries are kept during the fold (the model rows stay aligned) and
-    dropped at the end when requested.
+    Each entry's final weight is its prior weight times the product of its
+    row's likelihoods of the observations, normalized once at the end.  The
+    rows are fixed per entry, so the result depends only on how often each
+    symbol occurs: it is order independent for every model, not only for
+    i.i.d. ones.  An impossible or unknown observation is reported at its
+    first occurrence in stream order.  Zero-weight entries are kept unless
+    ``drop_zero`` is set.
     """
-    current = credal
-    for observation in observations:
-        current = update_weights(current, model, observation)
-    if drop_zero:
-        kept = tuple(entry for entry in current.entries if entry[1] != 0)
-        current = WeightedCredalSet(kept)
-    return current
+    return _posterior(credal, model, observations, drop_zero)
 
 
 def epstein_schneider_update(
@@ -190,11 +232,18 @@ def ambiguity_trajectory(
     """Ambiguity interval of the event after each prefix of the observations.
 
     The first entry is the prior interval (empty prefix), so the result has
-    one more interval than there are observations.
+    one more interval than there are observations.  Each interval equals
+    ``ambiguity_interval(event, ...)`` on the reweighted set, computed from
+    the integer scores without building that set.
     """
-    intervals = [ambiguity_interval(event, credal)]
-    current = credal
-    for observation in observations:
-        current = update_weights(current, model, observation)
-        intervals.append(ambiguity_interval(event, current))
+    inside, lcd = _over_lcd([measure.prob(event) for measure in credal.measures])
+    # Masses sum to exactly 1, so Pr_i(E^c) = 1 - Pr_i(E) over the same LCD.
+    outside = [lcd - p for p in inside]
+    intervals = []
+    for scores, scale in _score_prefixes(credal, model, observations):
+        # upper = max_i w_i Pr_i(E^c); lower = 1 - max_i w_i Pr_i(E).
+        den = scale * lcd
+        upper = max(score * q for score, q in zip(scores, outside))
+        lower = den - max(score * p for score, p in zip(scores, inside))
+        intervals.append(AmbiguityInterval(Fraction(lower, den), Fraction(upper, den)))
     return intervals

@@ -1,12 +1,20 @@
+import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wregret.cli
 from wregret.cli import approx6, main
 from wregret import rat
+from wregret.documents import credal_set_doc
+
+from conftest import coin_grid
 
 HERE = Path(__file__).parent
 DATA = str(HERE / "data") + "/"
@@ -326,3 +334,108 @@ def test_unexpected_exception_exits_one(capsys, monkeypatch):
     code, out, err = run(capsys, GOLDEN_COMMANDS["represent.txt"])
     assert (code, out) == (1, "")
     assert err == "error: RuntimeError: simplex certificate failed exact verification\n"
+
+
+@pytest.mark.parametrize("command", ["learn", "trajectory"])
+def test_misaligned_model_fails_on_empty_stream(capsys, tmp_path, command):
+    model = tmp_path / "one_row.json"
+    model.write_text(
+        json.dumps({"alphabet": ["h", "t"], "likelihoods": [["1/2", "1/2"]]})
+    )
+    argv = [command, "-p", DATA + "example2_p0.json", "-o", str(model), "-s", ""]
+    if command == "trajectory":
+        argv += ["-e", "h"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert "rows align with entry order" in err
+
+
+def test_long_stream_learn_roundtrip(capsys, tmp_path, default_int_str_limit):
+    # 3000 tosses on the 99-point grid: posterior weights of about 5000
+    # digits, past CPython's default int/str limit.
+    grid = coin_grid(step=100, lo=Fraction(1, 100), hi=Fraction(99, 100))
+    prior = tmp_path / "prior.json"
+    prior.write_text(json.dumps(credal_set_doc(grid.credal)))
+    model = tmp_path / "model.json"
+    rows = [[str(b), str(1 - b)] for b in grid.betas]
+    model.write_text(json.dumps({"alphabet": ["h", "t"], "likelihoods": rows}))
+    first, second = "hht" * 1000, "ht" * 100
+    learn = ["learn", "-o", str(model), "-p"]
+    code, out, err = run(capsys, learn + [str(prior), "-s", first])
+    assert (code, err) == (0, "")
+    posterior = tmp_path / "posterior.json"
+    posterior.write_text(out)
+    code, chained, err = run(capsys, learn + [str(posterior), "-s", second])
+    assert (code, err) == (0, "")
+    code, joint, err = run(capsys, learn + [str(prior), "-s", first + second])
+    assert (code, err) == (0, "")
+    assert chained == joint
+
+
+_PRIOR = {
+    "states": ["h", "t"],
+    "entries": [
+        {"mass": ["1/2", "1/2"], "weight": "1"},
+        {"mass": ["1", "0"], "weight": "1/3"},
+    ],
+}
+_VALUES = ["0", "1", "1/2", "1/3", "2/3", "-1", "3/2", "2/4", "1/0", "x", ""]
+_VALUES += [0, 1, 0.5, None, []]
+_VALID_ROWS = st.sampled_from([["1/2", "1/2"], ["1", "0"], ["0", "1"], ["1/3", "2/3"]])
+
+
+@st.composite
+def model_texts(draw):
+    """Model files: mostly well formed, some with bad values, some not models."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(
+            st.sampled_from(["{not json", "", "[]", "null", '"h"', '{"alphabet": ["h"]}'])
+        )
+    alphabet = draw(
+        st.one_of(
+            st.sampled_from([["h", "t"], ["x", "ht"]]),
+            st.lists(st.sampled_from(["h", "t", "x", "", "ht", ",", 1, None]), max_size=3),
+        )
+    )
+    any_row = st.one_of(_VALID_ROWS, st.lists(st.sampled_from(_VALUES), max_size=3))
+    rows = draw(
+        st.one_of(
+            st.lists(_VALID_ROWS, min_size=2, max_size=2),
+            st.lists(any_row, max_size=3),
+        )
+    )
+    return json.dumps({"alphabet": alphabet, "likelihoods": rows})
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150)
+@given(
+    command=st.sampled_from(["learn", "trajectory"]),
+    model=model_texts(),
+    observations=st.one_of(st.text("ht,x? ", max_size=12), st.text(max_size=6)),
+    event=st.sampled_from(["h", "t", "h+t", "empty", "all", "x", "", ",", "h,t"]),
+    drop_zero=st.booleans(),
+)
+def test_fuzzed_learning_commands_never_raise(
+    fuzz_dir, command, model, observations, event, drop_zero
+):
+    prior = fuzz_dir / "prior.json"
+    prior.write_text(json.dumps(_PRIOR))
+    model_path = fuzz_dir / "model.json"
+    model_path.write_text(model)
+    argv = [command, "-p", str(prior), "-o", str(model_path), "-s", observations]
+    if command == "learn":
+        argv += ["--drop-zero"] if drop_zero else []
+    else:
+        argv += ["-e", event]
+    # Not capsys: hypothesis rejects function-scoped fixtures.
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")

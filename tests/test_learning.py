@@ -16,9 +16,11 @@ from wregret import (
     update_weights,
     update_weights_sequence,
 )
+from wregret import learning
 
+import reference_learning as reference
 from conftest import coin_grid
-from strategies import credal_sets, spaces
+from strategies import credal_sets, events, measures, spaces
 
 
 def tiny_grid():
@@ -61,6 +63,27 @@ def test_unknown_symbol_and_misaligned_model(coin):
     short = ObservationModel(("h", "t"), (("1/2", "1/2"),))
     with pytest.raises(DomainError):
         update_weights(coin.credal, short, "h")
+    # Alignment is checked before the first observation, so an empty
+    # stream cannot hide a misaligned model.
+    with pytest.raises(DomainError, match="rows align with entry order"):
+        update_weights_sequence(coin.credal, short, [])
+    with pytest.raises(DomainError, match="rows align with entry order"):
+        ambiguity_trajectory(coin.credal, short, [], coin.heads)
+
+
+def test_first_failing_observation_is_reported():
+    space = StateSpace(("h", "t"))
+    tails_only = WeightedCredalSet.unweighted([ProbMeasure(space, (0, 1))])
+    model = ObservationModel.iid(tails_only)
+    heads = space.event("h")
+    for stream, message in (
+        (["h", "x"], "impossible"),
+        (["x", "h"], "unknown observation symbol"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            update_weights_sequence(tails_only, model, stream)
+        with pytest.raises(DomainError, match=message):
+            ambiguity_trajectory(tails_only, model, stream, heads)
 
 
 def test_sequence_equals_fold_and_empty_is_identity(coin):
@@ -200,3 +223,48 @@ def test_zero_weight_absorbs(data):
     except DomainError:
         return
     assert updated.weights[0] == 0
+
+
+def _outcomes(name, *args):
+    """What the named function and its reference each return or raise."""
+    outcomes = []
+    for module in (learning, reference):
+        try:
+            outcomes.append(("value", getattr(module, name)(*args)))
+        except DomainError as exc:
+            outcomes.append(("raised", type(exc), str(exc)))
+    return outcomes
+
+
+@st.composite
+def learning_inputs(draw):
+    """A set, an aligned i.i.d. or general model, an event and a stream.
+
+    Weights and likelihoods are often 0, so impossible observations occur;
+    the stream sometimes holds a symbol outside the alphabet.
+    """
+    space = draw(spaces(max_size=3))
+    credal = draw(credal_sets(space, max_entries=4))
+    if draw(st.booleans()):
+        model = ObservationModel.iid(credal)
+    else:
+        symbols = StateSpace(tuple("xyz"[: draw(st.integers(1, 3))]))
+        rows = tuple(draw(measures(symbols, 6)).mass for _ in credal.entries)
+        model = ObservationModel(symbols.labels, rows)
+    alphabet = st.sampled_from(model.alphabet)
+    symbol = st.one_of(alphabet, st.just("?")) if draw(st.booleans()) else alphabet
+    stream = [draw(symbol) for _ in range(draw(st.integers(0, 6)))]
+    return credal, model, draw(events(space)), stream
+
+
+@settings(max_examples=300)
+@given(learning_inputs(), st.booleans())
+def test_integer_fold_equals_reference_fold(inputs, drop_zero):
+    credal, model, event, stream = inputs
+    new, old = _outcomes("update_weights_sequence", credal, model, stream, drop_zero)
+    assert new == old
+    new, old = _outcomes("ambiguity_trajectory", credal, model, stream, event)
+    assert new == old
+    for symbol in stream[:1]:
+        new, old = _outcomes("update_weights", credal, model, symbol, drop_zero)
+        assert new == old
