@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .core import (
     DomainError,
@@ -174,20 +175,53 @@ def check_REG12(f: SetFunction) -> bool:
     return f.values[f.space.full_mask] == 0 and f.values[0] == 1
 
 
-def _complement_indices(space: StateSpace) -> list[tuple[int, ...]]:
+def _require_bounds(*bounds: int) -> None:
+    if any(bound < 0 for bound in bounds):
+        raise DomainError("bounds must be nonnegative")
+
+
+def _member_indices(space: StateSpace) -> list[tuple[int, ...]]:
     size = space.size
     return [
-        tuple(i for i in range(size) if not (mask >> i) & 1)
+        tuple(i for i in range(size) if (mask >> i) & 1)
         for mask in range(1 << size)
     ]
 
 
-def _enumeration_nodes(alphabet_size: int, max_m: int) -> int:
-    return sum(math.comb(alphabet_size + s - 1, s) for s in range(1, max_m + 1))
+def _full_space_violation(
+    f: SetFunction, axiom: str, max_n: int
+) -> CoverViolation | None:
+    # The empty multiset covers the empty complement of the full space any
+    # number of times, so n*f(S) <= 0 must already hold.
+    value = f.values[f.space.full_mask]
+    if max_n == 0 or value == 0:
+        return None
+    return CoverViolation(
+        axiom, f.space.full_event, (), 1, 0, lhs=value, rhs=_ZERO, slack=-value
+    )
 
 
-def _guard_bounds(space: StateSpace, alphabet_size: int, max_m: int) -> None:
-    nodes = _enumeration_nodes(alphabet_size, max_m) * (1 << space.size)
+def _search_covers(
+    f: SetFunction,
+    alphabet: range,
+    touched: list[tuple[int, ...]],
+    ceiling: Rat,
+    max_m: int,
+    evaluate: Callable[[list[int], list[int], Rat], CoverViolation | None],
+) -> CoverViolation | None:
+    """First violation ``evaluate`` finds among multisets of alphabet events.
+
+    Multisets of 1..max_m event masks drawn from ``alphabet`` are visited
+    smallest first, so a reported violation uses a minimal multiset, and
+    each size in lexicographic order of alphabet positions.  For every
+    multiset, ``evaluate(counts, chosen, total)`` gets the chosen masks,
+    ``counts[i]`` = how many of them touch state i (per ``touched[mask]``)
+    and the sum of their values.  A branch whose sum reaches ``ceiling`` is
+    cut: no target can make it a violation.
+    """
+    space = f.space
+    # There are C(|alphabet| + max_m, max_m) - 1 multisets of sizes 1..max_m.
+    nodes = (math.comb(len(alphabet) + max_m, max_m) - 1) << space.size
     if nodes > _NODE_LIMIT:
         raise ResourceLimitError(
             f"bounded cover enumeration would visit about {nodes:,} "
@@ -195,13 +229,35 @@ def _guard_bounds(space: StateSpace, alphabet_size: int, max_m: int) -> None:
             "(or the state-space size), or use representability() for the "
             "exact decision"
         )
+    values = f.values
+    counts = [0] * space.size
+    chosen: list[int] = []
 
+    def search(start: int, remaining: int, total: Rat) -> CoverViolation | None:
+        for position in range(start, len(alphabet)):
+            mask = alphabet[position]
+            extended = total + values[mask]
+            if extended >= ceiling:
+                continue
+            for i in touched[mask]:
+                counts[i] += 1
+            chosen.append(mask)
+            if remaining == 1:
+                hit = evaluate(counts, chosen, extended)
+            else:
+                hit = search(position, remaining - 1, extended)
+            chosen.pop()
+            for i in touched[mask]:
+                counts[i] -= 1
+            if hit is not None:
+                return hit
+        return None
 
-def _collate(space: StateSpace, chosen: list[int]) -> tuple[tuple[Event, int], ...]:
-    items: list[tuple[Event, int]] = []
-    for mask in sorted(set(chosen)):
-        items.append((space.event_from_mask(mask), chosen.count(mask)))
-    return tuple(items)
+    for depth in range(1, max_m + 1):
+        hit = search(0, depth, _ZERO)
+        if hit is not None:
+            return hit
+    return None
 
 
 def check_REG3_bounded(
@@ -214,10 +270,8 @@ def check_REG3_bounded(
     otherwise the first violation in enumeration order.  Complete only
     within the bounds.
     """
-    if max_n < 0 or max_m < 0:
-        raise DomainError("bounds must be nonnegative")
+    _require_bounds(max_n, max_m)
     space = f.space
-    size = space.size
     full = space.full_mask
     values = f.values
 
@@ -225,42 +279,28 @@ def check_REG3_bounded(
         hit = _antimonotonicity_scan(f)
         if hit is not None:
             return hit
-
-    # The empty multiset covers the empty complement of the full space any
-    # number of times, so n*f(S) <= 0 must already hold.
-    if max_n >= 1 and values[full] > 0:
-        return CoverViolation(
-            "REG3",
-            space.full_event,
-            (),
-            1,
-            0,
-            lhs=values[full],
-            rhs=_ZERO,
-            slack=-values[full],
-        )
-    if max_n == 0 or max_m == 0:
-        return None
+    hit = _full_space_violation(f, "REG3", max_n)
+    if hit is not None or max_n == 0 or max_m == 0:
+        return hit
 
     # Events equal to the empty set or the whole space never help a
     # violation (dropping them preserves it at no larger bounds), so the
     # alphabet is the proper nonempty events.
-    alphabet = list(range(1, full))
-    comp_indices = _complement_indices(space)
+    alphabet = range(1, full)
+    # members[::-1][mask] is members[full ^ mask]: the complement's states.
+    complements = _member_indices(space)[::-1]
     targets = [
-        (mask, values[mask], comp_indices[mask])
+        (mask, values[mask], complements[mask])
         for mask in range(full)
         if values[mask] > 0
     ]
     if not targets or not alphabet:
         return None
-    _guard_bounds(space, len(alphabet), max_m)
     ceiling = max_n * max(value for _, value, _ in targets)
 
-    counts = [0] * size
-    chosen: list[int] = []
-
-    def evaluate(total: Fraction) -> CoverViolation | None:
+    def evaluate(
+        counts: list[int], chosen: list[int], total: Rat
+    ) -> CoverViolation | None:
         for mask, value, indices in targets:
             cover = min(counts[i] for i in indices)
             if cover <= 0:
@@ -271,7 +311,9 @@ def check_REG3_bounded(
                 return CoverViolation(
                     "REG3",
                     space.event_from_mask(mask),
-                    _collate(space, chosen),
+                    MultisetOfEvents.from_events(
+                        map(space.event_from_mask, chosen)
+                    ).items,
                     order,
                     0,
                     lhs=lhs,
@@ -280,32 +322,7 @@ def check_REG3_bounded(
                 )
         return None
 
-    def search(start: int, remaining: int, total: Fraction) -> CoverViolation | None:
-        for position in range(start, len(alphabet)):
-            mask = alphabet[position]
-            extended = total + values[mask]
-            if extended >= ceiling:
-                continue
-            for i in comp_indices[mask]:
-                counts[i] += 1
-            chosen.append(mask)
-            if remaining == 1:
-                hit = evaluate(extended)
-            else:
-                hit = search(position, remaining - 1, extended)
-            chosen.pop()
-            for i in comp_indices[mask]:
-                counts[i] -= 1
-            if hit is not None:
-                return hit
-        return None
-
-    # Smaller multisets first, so the reported violation uses a minimal cover.
-    for depth in range(1, max_m + 1):
-        hit = search(0, depth, _ZERO)
-        if hit is not None:
-            return hit
-    return None
+    return _search_covers(f, alphabet, complements, ceiling, max_m, evaluate)
 
 
 def _antimonotonicity_scan(f: SetFunction) -> CoverViolation | None:
@@ -343,57 +360,46 @@ def check_REG3prime(
     This is the stronger requirement that characterizes all-weights-1
     tables; genuinely weighted tables typically break it with k >= 1.
     """
-    if max_n < 0 or max_k < 0 or max_m < 0:
-        raise DomainError("bounds must be nonnegative")
+    _require_bounds(max_n, max_k, max_m)
     space = f.space
-    size = space.size
     full = space.full_mask
     values = f.values
 
-    if max_n >= 1 and values[full] > 0:
-        return CoverViolation(
-            "REG3'",
-            space.full_event,
-            (),
-            1,
-            0,
-            lhs=values[full],
-            rhs=_ZERO,
-            slack=-values[full],
-        )
-    if max_m == 0 or (max_n == 0 and max_k == 0):
-        return None
+    hit = _full_space_violation(f, "REG3'", max_n)
+    if hit is not None or max_m == 0 or (max_n == 0 and max_k == 0):
+        return hit
 
-    # The whole space never helps (its complement adds no coverage), but the
-    # empty event does: its complement raises every count by one.
-    alphabet = list(range(0, full))
-    comp_indices = _complement_indices(space)
-    _guard_bounds(space, len(alphabet), max_m)
+    # members[::-1][mask] is members[full ^ mask]: the complement's states.
+    complements = _member_indices(space)[::-1]
     ceiling = max_k + max_n * max(values)
 
-    counts = [0] * size
-    chosen: list[int] = []
-
-    def evaluate(total: Fraction) -> CoverViolation | None:
+    def evaluate(
+        counts: list[int], chosen: list[int], total: Rat
+    ) -> CoverViolation | None:
         space_cover = min(counts)
         k_cap = min(space_cover, max_k)
         for mask in range(full + 1):
             value = values[mask]
-            indices = comp_indices[mask]
+            indices = complements[mask]
             target_cover = min(counts[i] for i in indices) if indices else None
             for k in range(k_cap + 1):
+                first_n = 1 if k == 0 else 0
                 if target_cover is None:
-                    n_cap = max_n
+                    # The full space is worth 0 here (a positive value was
+                    # reported above), so lhs = k for every n: the first n
+                    # decides, and max_n bounds no loop.
+                    n_cap = min(first_n, max_n)
                 else:
                     n_cap = min(target_cover - k, max_n)
-                first_n = 1 if k == 0 else 0
                 for n in range(first_n, n_cap + 1):
                     lhs = k + n * value
                     if lhs > total:
                         return CoverViolation(
                             "REG3'",
                             space.event_from_mask(mask),
-                            _collate(space, chosen),
+                            MultisetOfEvents.from_events(
+                                map(space.event_from_mask, chosen)
+                            ).items,
                             n,
                             k,
                             lhs=lhs,
@@ -402,41 +408,17 @@ def check_REG3prime(
                         )
         return None
 
-    def search(start: int, remaining: int, total: Fraction) -> CoverViolation | None:
-        for position in range(start, len(alphabet)):
-            mask = alphabet[position]
-            extended = total + values[mask]
-            if extended >= ceiling:
-                continue
-            for i in comp_indices[mask]:
-                counts[i] += 1
-            chosen.append(mask)
-            if remaining == 1:
-                hit = evaluate(extended)
-            else:
-                hit = search(position, remaining - 1, extended)
-            chosen.pop()
-            for i in comp_indices[mask]:
-                counts[i] -= 1
-            if hit is not None:
-                return hit
-        return None
-
-    for depth in range(1, max_m + 1):
-        hit = search(0, depth, _ZERO)
-        if hit is not None:
-            return hit
-    return None
+    # The whole space never helps (its complement adds no coverage), but the
+    # empty event does: its complement raises every count by one.
+    return _search_covers(f, range(full), complements, ceiling, max_m, evaluate)
 
 
 def check_LP_axioms(
     g: SetFunction, max_n: int = 2, max_k: int = 2, max_m: int = 3
 ) -> LPAxiomReport:
     """Verdicts for the lower-probability axioms, LP3 by bounded covers."""
-    if max_n < 0 or max_k < 0 or max_m < 0:
-        raise DomainError("bounds must be nonnegative")
+    _require_bounds(max_n, max_k, max_m)
     space = g.space
-    size = space.size
     full = space.full_mask
     values = g.values
 
@@ -459,39 +441,16 @@ def check_LP_axioms(
         if found:
             break
 
-    lp3 = _lp3_scan(g, max_n, max_k, max_m)
-    return LPAxiomReport(lp1, lp2, lp3prime, lp3)
-
-
-def _member_indices(space: StateSpace) -> list[tuple[int, ...]]:
-    size = space.size
-    return [
-        tuple(i for i in range(size) if (mask >> i) & 1)
-        for mask in range(1 << size)
-    ]
-
-
-def _lp3_scan(
-    g: SetFunction, max_n: int, max_k: int, max_m: int
-) -> CoverViolation | None:
-    if max_m == 0 or (max_n == 0 and max_k == 0):
-        return None
-    space = g.space
-    size = space.size
-    full = space.full_mask
-    values = g.values
-    alphabet = list(range(full + 1))
     members = _member_indices(space)
-    comp_indices = _complement_indices(space)
-    _guard_bounds(space, len(alphabet), max_m)
 
-    counts = [0] * size
-    chosen: list[int] = []
-
-    def evaluate(total: Fraction) -> CoverViolation | None:
+    def evaluate(
+        counts: list[int], chosen: list[int], total: Rat
+    ) -> CoverViolation | None:
         for mask in range(full + 1):
             inside_max = max((counts[i] for i in members[mask]), default=0)
-            outside_max = max((counts[i] for i in comp_indices[mask]), default=0)
+            outside_max = max(
+                (counts[i] for i in members[full ^ mask]), default=0
+            )
             # The left side k + n*g grows with k, so the smallest admissible
             # order pair is the only violation candidate for this target.
             k = max(outside_max, inside_max - max_n, 0)
@@ -508,7 +467,9 @@ def _lp3_scan(
                 return CoverViolation(
                     "LP3",
                     space.event_from_mask(mask),
-                    _collate(space, chosen),
+                    MultisetOfEvents.from_events(
+                        map(space.event_from_mask, chosen)
+                    ).items,
                     n,
                     k,
                     lhs=lhs,
@@ -517,28 +478,12 @@ def _lp3_scan(
                 )
         return None
 
-    def search(start: int, remaining: int, total: Fraction) -> CoverViolation | None:
-        for position in range(start, len(alphabet)):
-            mask = alphabet[position]
-            for i in members[mask]:
-                counts[i] += 1
-            chosen.append(mask)
-            if remaining == 1:
-                hit = evaluate(total + values[mask])
-            else:
-                hit = search(position, remaining - 1, total + values[mask])
-            chosen.pop()
-            for i in members[mask]:
-                counts[i] -= 1
-            if hit is not None:
-                return hit
-        return None
-
-    for depth in range(1, max_m + 1):
-        hit = search(0, depth, _ZERO)
-        if hit is not None:
-            return hit
-    return None
+    lp3 = None
+    if max_m >= 1 and (max_n >= 1 or max_k >= 1):
+        # Values are at most 1, so no multiset of at most max_m events
+        # reaches the ceiling max_m + 1: LP3 prunes nothing.
+        lp3 = _search_covers(g, range(full + 1), members, max_m + 1, max_m, evaluate)
+    return LPAxiomReport(lp1, lp2, lp3prime, lp3)
 
 
 def event_system(

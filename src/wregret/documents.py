@@ -71,7 +71,8 @@ def _require_list(value: Any, what: str) -> list:
 
 
 def _parse_rat(value: Any, what: str) -> Rat:
-    if not isinstance(value, (str, int)):
+    # JSON true/false arrive as bool, an int subclass; they are not rationals.
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise DocumentError(f"{what} must be a rational string, got {value!r}")
     try:
         return rat(value)
@@ -169,6 +170,12 @@ def acts_doc(acts: Sequence[Act], include_states: bool = False) -> dict:
 def parse_observation_model(doc: Any) -> ObservationModel:
     doc = _require_dict(doc, "observation model")
     alphabet = _require_list(doc.get("alphabet"), 'model "alphabet"')
+    for position, symbol in enumerate(alphabet):
+        if not isinstance(symbol, str):
+            raise DocumentError(
+                f'model "alphabet" symbol {position} must be a string, '
+                f"got {type(symbol).__name__}"
+            )
     rows = _require_list(doc.get("likelihoods"), 'model "likelihoods"')
     parsed_rows = tuple(
         tuple(

@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wregret import (
     DomainError,
@@ -23,6 +25,7 @@ from wregret import (
     verify_witness,
 )
 
+import reference_axioms as reference
 from randgen import (
     break_antimonotonicity,
     break_by_perturbation,
@@ -30,6 +33,7 @@ from randgen import (
     random_space,
     verify_cover_violation,
 )
+from strategies import rationals_01
 
 
 def lower_prob_table(credal):
@@ -101,6 +105,18 @@ def test_reg3prime_violation_on_weighted_example(three_weighted):
     assert verify_cover_violation(three_weighted.table, violation)
 
 
+def test_reg3prime_cost_does_not_grow_with_max_n(three_weighted):
+    # Orders above max_m can only matter at the full space, whose value is
+    # 0 once the search starts; a loop up to max_n = 10**12 would not end.
+    space = StateSpace(("a", "b"))
+    uniform = SetFunction.from_likelihood(
+        WeightedCredalSet.unweighted([ProbMeasure.uniform(space)])
+    )
+    for table in (uniform, three_weighted.table):
+        assert check_REG3prime(table, 10**12, 2, 3) == check_REG3prime(table, 3, 2, 3)
+    assert check_REG3prime(uniform, 10**12, 2, 3) is None
+
+
 def test_reg3prime_holds_for_unweighted_sets():
     rng = Random(7)
     for _ in range(25):
@@ -120,13 +136,70 @@ def test_reg3_holds_for_weighted_sets():
         assert check_REG3_bounded(table, 3, 4) is None
 
 
-def test_resource_guard_names_the_bounds():
+@pytest.mark.parametrize(
+    "check, bounds",
+    [
+        pytest.param(check_REG3_bounded, (3, 9), id="check_REG3_bounded"),
+        pytest.param(check_REG3prime, (2, 2, 3), id="check_REG3prime"),
+        pytest.param(check_LP_axioms, (2, 2, 3), id="check_LP_axioms"),
+    ],
+)
+def test_resource_guard_names_the_bounds(check, bounds):
     space = StateSpace(tuple("abcdefgh"))
     table = SetFunction.from_likelihood(
         WeightedCredalSet.unweighted([ProbMeasure.uniform(space)])
     )
-    with pytest.raises(ResourceLimitError):
-        check_REG3_bounded(table, 3, 9)
+    with pytest.raises(ResourceLimitError) as raised:
+        check(table, *bounds)
+    with pytest.raises(ResourceLimitError) as expected:
+        getattr(reference, check.__name__)(table, *bounds)
+    message = str(raised.value)
+    assert message == str(expected.value)
+    assert message.startswith("bounded cover enumeration would visit about")
+    assert "for N = 8; lower max_m" in message
+
+
+@st.composite
+def cover_tables(draw):
+    """`randgen` tables over 2-4 states: induced by a weighted or unweighted
+    set, its dual (a lower probability when unweighted), one with an
+    antimonotonicity breach, a perturbed one, or one with a value replaced."""
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    space = random_space(rng, sizes=(draw(st.integers(2, 4)),))
+    credal = random_credal_set(rng, space, unweighted=draw(st.booleans()))
+    table = SetFunction.from_likelihood(credal)
+    kind = draw(
+        st.sampled_from(["induced", "dual", "breach", "perturbed", "replaced"])
+    )
+    if kind == "dual":
+        return SetFunction(space, tuple(1 - v for v in table.values))
+    if kind == "breach":
+        return break_antimonotonicity(rng, table) or table
+    if kind == "perturbed":
+        return break_by_perturbation(rng, table, attempts=2) or table
+    if kind == "replaced":
+        mask = draw(st.integers(0, space.full_mask))
+        return table.with_value(space.event_from_mask(mask), draw(rationals_01()))
+    return table
+
+
+@settings(max_examples=300)
+@given(
+    table=cover_tables(),
+    max_n=st.integers(0, 3),
+    max_k=st.integers(0, 3),
+    max_m=st.integers(0, 3),
+)
+def test_cover_searches_equal_reference(table, max_n, max_k, max_m):
+    assert check_REG3_bounded(table, max_n, max_m) == reference.check_REG3_bounded(
+        table, max_n, max_m
+    )
+    assert check_REG3prime(table, max_n, max_k, max_m) == reference.check_REG3prime(
+        table, max_n, max_k, max_m
+    )
+    assert check_LP_axioms(table, max_n, max_k, max_m) == reference.check_LP_axioms(
+        table, max_n, max_k, max_m
+    )
 
 
 def test_lp_axioms_on_lower_probability_tables():

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 import wregret.cli
 from wregret.cli import approx6, main
-from wregret import rat
-from wregret.documents import credal_set_doc
+from wregret import ProbMeasure, SetFunction, StateSpace, WeightedCredalSet, rat
+from wregret.documents import credal_set_doc, measure_doc, set_function_doc
 
 from conftest import coin_grid
+from strategies import credal_sets, measures, spaces
 
 HERE = Path(__file__).parent
 DATA = str(HERE / "data") + "/"
@@ -165,6 +166,56 @@ def test_unknown_event_label_exits_two(capsys):
     )
     assert code == 2
     assert "unknown state label" in err
+
+
+@pytest.mark.parametrize(
+    "alphabet, complaint",
+    [
+        ([1, None], "symbol 0 must be a string, got int"),
+        ([["h"], "t"], "symbol 0 must be a string, got list"),
+    ],
+    ids=["int_and_null", "unhashable"],
+)
+def test_non_string_alphabet_exits_two(capsys, tmp_path, alphabet, complaint):
+    model = tmp_path / "model.json"
+    model.write_text(
+        json.dumps({"alphabet": alphabet, "likelihoods": [["1/2", "1/2"]] * 9})
+    )
+    code, out, err = run(
+        capsys,
+        ["learn", "-p", DATA + "example2_p0.json", "-o", str(model), "-s", "1"],
+    )
+    assert (code, out) == (2, "")
+    assert err == f'error: model "alphabet" {complaint}\n'
+
+
+def test_boolean_rational_exits_two(capsys, tmp_path):
+    pset = tmp_path / "booleans.json"
+    pset.write_text(
+        json.dumps(
+            {"states": ["h", "t"], "entries": [{"mass": [True, False], "weight": True}]}
+        )
+    )
+    code, out, err = run(capsys, ["likelihood", "-p", str(pset), "-e", "h"])
+    assert (code, out) == (2, "")
+    assert err == "error: entry 0 mass must be a rational string, got True\n"
+
+
+@pytest.mark.parametrize(
+    "variant, bounds", [("reg3", "3,9"), ("reg3prime", "2,3,2"), ("lp", "2,3,2")]
+)
+def test_axioms_resource_guard_exits_one(capsys, tmp_path, variant, bounds):
+    space = StateSpace(tuple("abcdefgh"))
+    table = SetFunction.from_likelihood(
+        WeightedCredalSet.unweighted([ProbMeasure.uniform(space)])
+    )
+    path = tmp_path / "uniform8.json"
+    path.write_text(json.dumps(set_function_doc(table)))
+    code, out, err = run(
+        capsys, ["axioms", "-f", str(path), "--variant", variant, "--bounds", bounds]
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bounded cover enumeration would visit about")
 
 
 def test_json_modes_parse(capsys):
@@ -412,6 +463,17 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def assert_clean_exit(argv):
+    """Exit 0, 1 or 2, no traceback, and stderr empty exactly on exit 0."""
+    # Not capsys: hypothesis rejects function-scoped fixtures.
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")
+
+
 @settings(max_examples=150)
 @given(
     command=st.sampled_from(["learn", "trajectory"]),
@@ -432,10 +494,86 @@ def test_fuzzed_learning_commands_never_raise(
         argv += ["--drop-zero"] if drop_zero else []
     else:
         argv += ["-e", event]
-    # Not capsys: hypothesis rejects function-scoped fixtures.
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    assert (code == 0) == (err.getvalue() == "")
+    assert_clean_exit(argv)
+
+
+_TABLE_JUNK = [True, False, 0.5, None, [], {}, "x", "", "1/0", "-1/3", "3/2", 2, -1]
+_BOUNDS = st.one_of(
+    st.none(),
+    st.lists(st.integers(0, 3), min_size=2, max_size=3).map(
+        lambda bounds: ",".join(map(str, bounds))
+    ),
+    st.sampled_from(
+        ["", ",", "1", "a,b", "1,2,3,4", "1.5,2", "-1,2", "2,-1", "1,2,-3"]
+    ),
+    # A huge order bound n with a small multiset bound m.
+    st.just("9" * 30 + ",2"),
+    # Past the node guard at every state count from 1 to 3.
+    st.sampled_from(["3,3000000", "2,3000000,2", "2," + "9" * 30]),
+)
+
+
+@st.composite
+def table_documents(draw):
+    """A set-function file over 1-3 states and a measure file.
+
+    The table is induced by a weighted set or is the dual of one.  Some
+    tables carry one flaw: a value that is a boolean, float, null, junk or
+    out of range, an unknown key, a missing key, or no set function at all.
+    The measure is mostly over the same states.
+    """
+    space = draw(spaces(max_size=3))
+    table = SetFunction.from_likelihood(draw(credal_sets(space)))
+    if draw(st.booleans()):
+        table = SetFunction(space, tuple(1 - v for v in table.values))
+    doc = set_function_doc(table)
+    values = doc["values"]
+    flaw = draw(
+        st.sampled_from([None, None, None, "value", "unknown", "missing", "other"])
+    )
+    if flaw == "value":
+        values[draw(st.sampled_from(sorted(values)))] = draw(
+            st.sampled_from(_TABLE_JUNK)
+        )
+    if flaw == "unknown":
+        values[draw(st.sampled_from(["z", "ba", "abcd", " a"]))] = "1"
+    if flaw == "missing":
+        del values[draw(st.sampled_from(sorted(values)))]
+    function = json.dumps(doc)
+    if flaw == "other":
+        function = draw(
+            st.sampled_from(
+                ["{not json", "", "[]", "null", '{"states": ["a"]}',
+                 '{"states": ["a", "a"], "values": {}}', '{"states": [true]}']
+            )
+        )
+    measure_space = draw(st.one_of(st.just(space), spaces(max_size=3)))
+    measure = measure_doc(draw(measures(measure_space)))
+    if draw(st.integers(0, 9)) == 0:
+        measure["mass"][0] = draw(st.sampled_from(_TABLE_JUNK))
+    return function, json.dumps(measure)
+
+
+@settings(max_examples=150)
+@given(
+    documents=table_documents(),
+    command=st.sampled_from(["axioms", "represent", "weight"]),
+    variant=st.sampled_from(["reg3", "reg3prime", "lp"]),
+    bounds=_BOUNDS,
+    as_json=st.booleans(),
+)
+def test_fuzzed_table_commands_never_raise(
+    fuzz_dir, documents, command, variant, bounds, as_json
+):
+    function_path = fuzz_dir / "function.json"
+    measure_path = fuzz_dir / "measure.json"
+    function_path.write_text(documents[0])
+    measure_path.write_text(documents[1])
+    argv = [command, "-f", str(function_path)]
+    if command == "axioms":
+        argv += ["--variant", variant]
+        argv += [] if bounds is None else ["--bounds", bounds]
+    if command == "weight":
+        argv += ["-q", str(measure_path)]
+    argv += ["--json"] if as_json else []
+    assert_clean_exit(argv)

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -93,6 +94,57 @@ def test_observation_model_roundtrip():
         parse_observation_model(
             {"alphabet": ["h", "t"], "likelihoods": [["1/2", "1/3"]]}
         )
+
+
+def test_observation_alphabet_symbols_must_be_strings():
+    rows = [["1/2", "1/2"]]
+    for alphabet, message in [
+        ([1, None], 'model "alphabet" symbol 0 must be a string, got int'),
+        (["h", None], 'model "alphabet" symbol 1 must be a string, got NoneType'),
+        ([["h"], "t"], 'model "alphabet" symbol 0 must be a string, got list'),
+        (["h", True], 'model "alphabet" symbol 1 must be a string, got bool'),
+    ]:
+        with pytest.raises(DocumentError) as raised:
+            parse_observation_model({"alphabet": alphabet, "likelihoods": rows})
+        assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "parse, doc, field",
+    [
+        (
+            parse_credal_set,
+            {"states": ["a", "b"], "entries": [{"mass": [True, False], "weight": "1"}]},
+            "entry 0 mass",
+        ),
+        (
+            parse_credal_set,
+            {"states": ["a", "b"], "entries": [{"mass": ["1", "0"], "weight": True}]},
+            "entry 0 weight",
+        ),
+        (
+            parse_acts,
+            {"states": ["a", "b"], "acts": [{"name": "x", "utility": ["1", False]}]},
+            "act 0 utility",
+        ),
+        (
+            parse_observation_model,
+            {"alphabet": ["h", "t"], "likelihoods": [[True, False]]},
+            "model row 0",
+        ),
+        (
+            parse_set_function,
+            {"states": ["a"], "values": {"": True, "a": "0"}},
+            "value for ''",
+        ),
+        (parse_measure, {"states": ["a"], "mass": [True]}, "measure mass"),
+    ],
+    ids=["mass", "weight", "utility", "model_row", "set_function_value", "measure"],
+)
+def test_boolean_rationals_rejected(parse, doc, field):
+    # Each document would parse if its booleans were read as 1 and 0.
+    with pytest.raises(DocumentError, match="^" + re.escape(field) + " must be"):
+        parse(doc)
 
 
 def test_set_function_roundtrip():
