@@ -28,6 +28,27 @@ direction flip in LP3: the at-least cover form matches worst-case (regret)
 functionals, while lower probability, a best-case functional, obeys the
 dual at-most form (a point mass already breaks the at-least form via
 vacuous covers of the empty event).
+
+The three bounded checks share one multiset enumeration, `_search_covers`.
+Along the way it keeps the sum of the chosen values as an integer numerator
+over the table's least common denominator, and for each level j the bit
+mask ``levels[j]`` of the states the chosen events touch more than j times
+(complements for REG3 and REG3', the events themselves for LP3).  Each
+check turns these into an exact integer test of whether the multiset yields
+any violation; only where one does, it scans the targets in mask order, in
+`Fraction`s, for the violation it reports.  With U_c = S minus
+``levels[c - 1]``, the targets whose complement is covered at least c times
+are exactly the supersets of U_c:
+
+* REG3 runs after the antimonotonicity pre-scan, so subsets never rate
+  below supersets and f(U_n) is the largest value among those targets: a
+  violation exists iff ``n*f(U_n) > sum f(E_i)`` for some n <= max_n (and
+  the scan reports U_n for the least such n, as U_n has the smallest mask
+  of its supersets);
+* REG3' uses the largest value over supersets of U_c, for c = n + k;
+* LP3 fits a target to (n, k) iff it contains ``levels[k]`` and n + k
+  reaches the largest count, so it uses the smallest value over supersets
+  of ``levels[k]``.
 """
 
 from __future__ import annotations
@@ -201,23 +222,58 @@ def _full_space_violation(
     )
 
 
+def _numerators(values: tuple[Rat, ...]) -> tuple[int, list[int]]:
+    """The values as integer numerators over their least common denominator."""
+    scale = math.lcm(*[value.denominator for value in values])
+    return scale, [value.numerator * (scale // value.denominator) for value in values]
+
+
+def _superset_extremum(
+    nums: list[int], size: int, pick: Callable[[int, int], int]
+) -> list[int]:
+    """``table[u]`` is ``pick`` over ``nums[t]`` for every event t containing u."""
+    table = list(nums)
+    for i in range(size):
+        bit = 1 << i
+        for mask in range(1 << size):
+            if not mask & bit:
+                table[mask] = pick(table[mask], table[mask | bit])
+    return table
+
+
 def _search_covers(
     f: SetFunction,
+    nums: list[int],
     alphabet: range,
     touched: list[tuple[int, ...]],
-    ceiling: Rat,
+    ceiling: int,
     max_m: int,
+    fires: Callable[[list[int], int], bool],
     evaluate: Callable[[list[int], list[int], Rat], CoverViolation | None],
 ) -> CoverViolation | None:
-    """First violation ``evaluate`` finds among multisets of alphabet events.
+    """First violation among multisets of alphabet events.
 
-    Multisets of 1..max_m event masks drawn from ``alphabet`` are visited
-    smallest first, so a reported violation uses a minimal multiset, and
-    each size in lexicographic order of alphabet positions.  For every
-    multiset, ``evaluate(counts, chosen, total)`` gets the chosen masks,
-    ``counts[i]`` = how many of them touch state i (per ``touched[mask]``)
-    and the sum of their values.  A branch whose sum reaches ``ceiling`` is
-    cut: no target can make it a violation.
+    Multisets of 1..max_m event masks drawn from ``alphabet`` (a range of
+    masks) are visited smallest first, so a reported violation uses a
+    minimal multiset, and each size in lexicographic order.  For the
+    chosen masks of the current multiset the search keeps:
+
+    * ``total``, the sum of their values as integer numerators ``nums``
+      over one common denominator; a branch whose total reaches the
+      equally scaled ``ceiling`` is cut, since no target can make it a
+      violation;
+    * ``counts[i]``, how many of them touch state i (per ``touched``);
+    * ``levels[j]``, the bit mask of the states touched more than j times,
+      so each level contains the next, and "every state of U is touched
+      at least c times" is the one test ``U & ~levels[c - 1] == 0``.
+
+    A push or pop updates ``counts`` and ``levels`` for the states the
+    event touches, nothing else.  ``fires(levels, total)`` decides in
+    integers whether the multiset yields a violation at all; only where it
+    does, ``evaluate(counts, chosen, total)`` finds the check's first
+    violation in exact `Fraction`s (with ``total`` the `Fraction` sum of
+    the chosen values).  The enumeration keeps its own stack, so only the
+    node guard bounds its depth.
     """
     space = f.space
     # There are C(|alphabet| + max_m, max_m) - 1 multisets of sizes 1..max_m.
@@ -229,34 +285,55 @@ def _search_covers(
             "(or the state-space size), or use representability() for the "
             "exact decision"
         )
-    values = f.values
+    steps = [tuple((i, 1 << i) for i in states) for states in touched]
     counts = [0] * space.size
-    chosen: list[int] = []
-
-    def search(start: int, remaining: int, total: Rat) -> CoverViolation | None:
-        for position in range(start, len(alphabet)):
-            mask = alphabet[position]
-            extended = total + values[mask]
-            if extended >= ceiling:
-                continue
-            for i in touched[mask]:
-                counts[i] += 1
-            chosen.append(mask)
-            if remaining == 1:
-                hit = evaluate(counts, chosen, extended)
-            else:
-                hit = search(position, remaining - 1, extended)
-            chosen.pop()
-            for i in touched[mask]:
-                counts[i] -= 1
-            if hit is not None:
-                return hit
-        return None
-
+    first, stop = alphabet.start, alphabet.stop
     for depth in range(1, max_m + 1):
-        hit = search(0, depth, _ZERO)
-        if hit is not None:
-            return hit
+        levels = [0] * depth
+        # (mask, total before it) for every chosen event but the last.
+        stack: list[tuple[int, int]] = []
+        start, total = first, 0
+        while True:
+            if len(stack) + 1 < depth:
+                mask = start
+                while mask < stop and total + nums[mask] >= ceiling:
+                    mask += 1
+                if mask < stop:
+                    for i, bit in steps[mask]:
+                        levels[counts[i]] |= bit
+                        counts[i] += 1
+                    stack.append((mask, total))
+                    total += nums[mask]
+                    start = mask
+                    continue
+            else:
+                for mask in range(start, stop):
+                    extended = total + nums[mask]
+                    if extended >= ceiling:
+                        continue
+                    step = steps[mask]
+                    for i, bit in step:
+                        levels[counts[i]] |= bit
+                        counts[i] += 1
+                    if fires(levels, extended):
+                        chosen = [held for held, _ in stack] + [mask]
+                        exact = sum((f.values[held] for held in chosen), _ZERO)
+                        hit = evaluate(counts, chosen, exact)
+                        if hit is None:
+                            raise RuntimeError(
+                                "cover search fired on a multiset without a violation"
+                            )
+                        return hit
+                    for i, bit in step:
+                        counts[i] -= 1
+                        levels[counts[i]] ^= bit
+            if not stack:
+                break
+            mask, total = stack.pop()
+            for i, bit in steps[mask]:
+                counts[i] -= 1
+                levels[counts[i]] ^= bit
+            start = mask + 1
     return None
 
 
@@ -296,7 +373,20 @@ def check_REG3_bounded(
     ]
     if not targets or not alphabet:
         return None
-    ceiling = max_n * max(value for _, value, _ in targets)
+    _, nums = _numerators(values)
+    orders = range(1, max_n + 1)
+
+    def fires(levels: list[int], total: int) -> bool:
+        # The targets covered at least n times are the supersets of
+        # U_n = full ^ levels[n - 1].  The pre-scan passed, so f is
+        # antimonotone and U_n rates highest among them; the order n
+        # itself is best, as n*f grows with n.
+        for n, held in zip(orders, levels):
+            if not held:
+                return False
+            if n * nums[full ^ held] > total:
+                return True
+        return False
 
     def evaluate(
         counts: list[int], chosen: list[int], total: Rat
@@ -322,7 +412,10 @@ def check_REG3_bounded(
                 )
         return None
 
-    return _search_covers(f, alphabet, complements, ceiling, max_m, evaluate)
+    ceiling = max_n * max(nums[mask] for mask, _, _ in targets)
+    return _search_covers(
+        f, nums, alphabet, complements, ceiling, max_m, fires, evaluate
+    )
 
 
 def _antimonotonicity_scan(f: SetFunction) -> CoverViolation | None:
@@ -371,7 +464,32 @@ def check_REG3prime(
 
     # members[::-1][mask] is members[full ^ mask]: the complement's states.
     complements = _member_indices(space)[::-1]
-    ceiling = max_k + max_n * max(values)
+    scale, nums = _numerators(values)
+    # best[u]: the highest value of an event containing u.
+    best = _superset_extremum(nums, space.size, max)
+
+    def fires(levels: list[int], total: int) -> bool:
+        space_cover = 0
+        for held in levels:
+            if held != full:
+                break
+            space_cover += 1
+        k_cap = min(space_cover, max_k)
+        # n = 0 leaves lhs = k for every target, the full space included.
+        if k_cap * scale > total:
+            return True
+        # The targets covered at least c = n + k times are the supersets of
+        # full ^ levels[c - 1].  For one c, lhs = c*f + k*(1 - f) grows with
+        # k, so the largest k that leaves n >= 1 is best.
+        for c, held in enumerate(levels, 1):
+            if not held:
+                return False
+            k = min(k_cap, c - 1)
+            if c - k > max_n:
+                return False
+            if k * scale + (c - k) * best[full ^ held] > total:
+                return True
+        return False
 
     def evaluate(
         counts: list[int], chosen: list[int], total: Rat
@@ -410,7 +528,10 @@ def check_REG3prime(
 
     # The whole space never helps (its complement adds no coverage), but the
     # empty event does: its complement raises every count by one.
-    return _search_covers(f, range(full), complements, ceiling, max_m, evaluate)
+    ceiling = max_k * scale + max_n * max(nums)
+    return _search_covers(
+        f, nums, range(full), complements, ceiling, max_m, fires, evaluate
+    )
 
 
 def check_LP_axioms(
@@ -442,6 +563,27 @@ def check_LP_axioms(
             break
 
     members = _member_indices(space)
+    scale, nums = _numerators(values)
+    # worst[u]: the lowest value of an event containing u.
+    worst = _superset_extremum(nums, space.size, min)
+
+    def fires(levels: list[int], total: int) -> bool:
+        top = 0
+        for held in levels:
+            if not held:
+                break
+            top += 1
+        # A target fits (n, k) when it contains levels[k] (no state outside
+        # it is touched more than k times) and n + k >= top (none inside
+        # more than n + k times).  lhs = k + n*g grows with n, so n is the
+        # least that reaches max(top, 1); k beyond that only adds to lhs.
+        reach = max(top, 1)
+        for k in range(min(max_k, reach) + 1):
+            n = reach - k
+            inside = levels[k] if k < top else 0
+            if n <= max_n and k * scale + n * worst[inside] < total:
+                return True
+        return False
 
     def evaluate(
         counts: list[int], chosen: list[int], total: Rat
@@ -482,7 +624,10 @@ def check_LP_axioms(
     if max_m >= 1 and (max_n >= 1 or max_k >= 1):
         # Values are at most 1, so no multiset of at most max_m events
         # reaches the ceiling max_m + 1: LP3 prunes nothing.
-        lp3 = _search_covers(g, range(full + 1), members, max_m + 1, max_m, evaluate)
+        ceiling = (max_m + 1) * scale
+        lp3 = _search_covers(
+            g, nums, range(full + 1), members, ceiling, max_m, fires, evaluate
+        )
     return LPAxiomReport(lp1, lp2, lp3prime, lp3)
 
 

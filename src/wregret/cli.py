@@ -186,8 +186,14 @@ def cmd_likelihood(args) -> int:
     return 0
 
 
-def _default_u_star(acts: Sequence[Act]) -> Rat:
-    return max(max(act.utility) for act in acts)
+def _u_star(arg: str | None, acts: Sequence[Act]) -> Rat:
+    """The --ustar value, by default the largest utility in the acts."""
+    if arg is None:
+        return max(max(act.utility) for act in acts)
+    try:
+        return rat(arg)
+    except DocumentError as exc:
+        raise DocumentError(f"--ustar: {exc}") from None
 
 
 def cmd_regret(args) -> int:
@@ -203,7 +209,7 @@ def cmd_regret(args) -> int:
         ]
         totals = [weighted_regret(act, credal, menu) for act in acts]
     else:
-        u_star = rat(args.ustar) if args.ustar is not None else _default_u_star(acts)
+        u_star = _u_star(args.ustar, acts)
         title = f"absolute regret (u* = {rat_str(u_star)})"
         per_measure = [
             [u_star - act.expected_utility(measure) for measure, _ in credal]
@@ -245,7 +251,7 @@ def cmd_prefer(args) -> int:
         right_value = weighted_regret(right, credal, menu)
         mode = "menu-relative"
     else:
-        u_star = rat(args.ustar) if args.ustar is not None else _default_u_star(acts)
+        u_star = _u_star(args.ustar, acts)
         verdict = prefer_absolute(left, right, credal, u_star)
         left_value = absolute_weighted_regret(left, credal, u_star)
         right_value = absolute_weighted_regret(right, credal, u_star)

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 from random import Random
 
@@ -199,6 +200,78 @@ def test_cover_searches_equal_reference(table, max_n, max_k, max_m):
     )
     assert check_LP_axioms(table, max_n, max_k, max_m) == reference.check_LP_axioms(
         table, max_n, max_k, max_m
+    )
+
+
+@functools.cache
+def five_state_tables() -> dict[str, SetFunction]:
+    """Seeded N = 5 tables of the kinds the `axioms` benchmark checks.
+
+    Under seed 65 each kind reaches the cover search, not only the
+    pre-scans: the weighted table first breaks REG3' with two events, the
+    lowered value breaks REG3 with two, and the superadditivity breach is
+    first found as an LP3 cover of two events.
+    """
+    rng = Random(65)
+    space = StateSpace(tuple("abcde"))
+    full = space.full_mask
+    weighted = SetFunction.from_likelihood(random_credal_set(rng, space))
+    unweighted = random_credal_set(rng, space, unweighted=True)
+    lower = lower_prob_table(unweighted)
+    left, right = next(
+        (left, right)
+        for left in range(1, full)
+        for right in range(1, full)
+        if not left & right
+        and left | right != full
+        and lower.values[left] + lower.values[right] > 0
+    )
+    superadditivity_broken = lower.with_value(
+        space.event_from_mask(left | right),
+        (lower.values[left] + lower.values[right]) / 2,
+    )
+    antimonotonicity_broken = break_antimonotonicity(rng, weighted)
+    lowered = rng.randrange(1, full)
+    value_replaced = weighted.with_value(
+        space.event_from_mask(lowered),
+        weighted.values[lowered] * Fraction(rng.randint(1, 3), 4),
+    )
+    return {
+        "weighted": weighted,
+        "unweighted": SetFunction.from_likelihood(unweighted),
+        "lower_envelope": lower,
+        "antimonotonicity_broken": antimonotonicity_broken,
+        "superadditivity_broken": superadditivity_broken,
+        "value_replaced": value_replaced,
+    }
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "weighted",
+        "unweighted",
+        "lower_envelope",
+        "antimonotonicity_broken",
+        "superadditivity_broken",
+        "value_replaced",
+    ],
+)
+def test_cover_searches_equal_reference_at_five_states(kind):
+    # The benchmark's N = 5 bounds (n, m, k): (3, 3, 2) for REG3, (2, 2, 2)
+    # for all three.  REG3' and LP3 at m = 3 take the reference seconds.
+    table = five_state_tables()[kind]
+    assert check_REG3_bounded(table, 3, 3) == reference.check_REG3_bounded(
+        table, 3, 3
+    )
+    assert check_REG3_bounded(table, 2, 2) == reference.check_REG3_bounded(
+        table, 2, 2
+    )
+    assert check_REG3prime(table, 2, 2, 2) == reference.check_REG3prime(
+        table, 2, 2, 2
+    )
+    assert check_LP_axioms(table, 2, 2, 2) == reference.check_LP_axioms(
+        table, 2, 2, 2
     )
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -216,6 +217,41 @@ def test_axioms_resource_guard_exits_one(capsys, tmp_path, variant, bounds):
     )
     assert (code, out) == (1, "")
     assert err.startswith("error: bounded cover enumeration would visit about")
+
+
+def test_deep_cover_search_does_not_recurse(capsys, tmp_path):
+    # 1200 copies of the one event below the full space: a multiset deeper
+    # than CPython's recursion limit, yet far inside the node guard.
+    path = tmp_path / "one_state.json"
+    path.write_text(json.dumps({"states": ["a"], "values": {"": "1", "a": "0"}}))
+    argv = ["axioms", "-f", str(path), "--variant", "reg3prime", "--bounds", "999999999,1200"]
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == (
+        "REG3' bounded (n <= 999999999, k <= 2, m <= 1200): pass"
+    )
+    assert elapsed < 10
+
+
+@pytest.mark.parametrize(
+    "command, value, complaint",
+    [
+        ("regret", "1/0", "zero denominator in rational '1/0'"),
+        ("prefer", "x", "cannot parse 'x' as a rational"),
+    ],
+)
+def test_bad_ustar_names_the_flag(capsys, command, value, complaint):
+    argv = [
+        command, "-p", DATA + "example1_set.json",
+        "-a", DATA + "example1_acts.json", f"--ustar={value}",
+    ]
+    if command == "prefer":
+        argv += ["1_{s1}", "1_{s2}"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: --ustar: {complaint}\n"
 
 
 def test_json_modes_parse(capsys):
@@ -576,4 +612,135 @@ def test_fuzzed_table_commands_never_raise(
     if command == "weight":
         argv += ["-q", str(measure_path)]
     argv += ["--json"] if as_json else []
+    assert_clean_exit(argv)
+
+
+_UTILITIES = ["0", "1", "1/2", "-1", "3/2", "7", "2/6"]
+_ACT_NAMES = ["x", "y", "z", "1_{a}"]
+
+
+def _rarely(draw, choices):
+    """None nine times in ten, otherwise one of the choices."""
+    return draw(st.sampled_from(choices)) if draw(st.integers(0, 9)) == 0 else None
+
+
+@st.composite
+def acts_texts(draw, space):
+    """An acts or menu file: two to four acts named from a small pool, over
+    the space's states.  Some have junk or misfitting utilities, a
+    non-string, missing or repeated name, or a "states" key that may
+    disagree with the space; a few are not acts documents at all."""
+    junk = _rarely(
+        draw,
+        ["{not json", "", "[]", "null", '{"acts": []}', '{"acts": {}}',
+         '{"acts": [1]}', '{"acts": [{}]}'],
+    )
+    if junk is not None:
+        return junk
+    acts = []
+    for name in draw(st.lists(st.sampled_from(_ACT_NAMES), min_size=2, max_size=4)):
+        utility = draw(
+            st.lists(st.sampled_from(_UTILITIES), min_size=space.size, max_size=space.size)
+        )
+        flaw = _rarely(draw, ["value", "length", "name", "missing"])
+        if flaw == "value":
+            utility[draw(st.integers(0, space.size - 1))] = draw(
+                st.sampled_from(_TABLE_JUNK)
+            )
+        if flaw == "length":
+            utility = utility[1:] if draw(st.booleans()) else utility + ["0"]
+        if flaw == "name":
+            name = draw(st.sampled_from([1, None, ""]))
+        act = {"name": name, "utility": utility}
+        if flaw == "missing":
+            del act[draw(st.sampled_from(["name", "utility"]))]
+        acts.append(act)
+    doc = {"acts": acts}
+    states = _rarely(draw, ["same", ["a", "b", "c", "d"], ["a", "a"], "ab"])
+    if states is not None:
+        doc["states"] = list(space.labels) if states == "same" else states
+    return json.dumps(doc)
+
+
+@st.composite
+def query_documents(draw):
+    """A credal-set file over 1-3 states with an acts and a menu file.
+
+    The set is drawn by `credal_sets`; some carry one flaw: a junk mass or
+    weight, bad "entries" or "states", or no credal set at all.
+    """
+    space = draw(spaces(max_size=3))
+    doc = credal_set_doc(draw(credal_sets(space)))
+    entries = doc["entries"]
+    flaw = _rarely(draw, ["mass", "weight", "entries", "states", "other"])
+    if flaw == "mass":
+        entry = entries[draw(st.integers(0, len(entries) - 1))]
+        entry["mass"][draw(st.integers(0, space.size - 1))] = draw(
+            st.sampled_from(_TABLE_JUNK)
+        )
+    if flaw == "weight":
+        entries[draw(st.integers(0, len(entries) - 1))]["weight"] = draw(
+            st.sampled_from(_TABLE_JUNK + ["0", "2"])
+        )
+    if flaw == "entries":
+        doc["entries"] = draw(st.sampled_from([[], {}, None, [1], [{}], [{"mass": []}]]))
+    if flaw == "states":
+        doc["states"] = draw(
+            st.sampled_from([[], ["a", "a"], ["a", 1], "ab", None, [""], ["a", "b", "c", "d"]])
+        )
+    credal = json.dumps(doc)
+    if flaw == "other":
+        credal = draw(st.sampled_from(["{not json", "", "[]", "null", '{"states": ["a"]}']))
+    return credal, draw(acts_texts(space)), draw(acts_texts(space))
+
+
+_EVENT_SPECS = st.one_of(
+    st.lists(
+        st.lists(st.sampled_from("abc"), max_size=3).map("+".join), min_size=1, max_size=3
+    ).map(",".join),
+    st.text("abcz+, ", max_size=8),
+    st.sampled_from(["empty", "all", "full", "a+a", " a ", "z", "-a", "--json"]),
+)
+
+
+@st.composite
+def act_names(draw):
+    """Mostly a name from the acts' pool; rarely one no act has, or one the
+    argument parser takes for an option."""
+    name = _rarely(draw, ["w", "", "-x", "x,y", "1_{a} "])
+    return draw(st.sampled_from(_ACT_NAMES)) if name is None else name
+
+
+_USTARS = st.one_of(
+    st.none(), st.sampled_from(["1", "0", "-1/2", "3/2", "7"]), st.sampled_from(["x", "1/0", ""])
+)
+
+
+@settings(max_examples=150)
+@given(
+    documents=query_documents(),
+    command=st.sampled_from(["likelihood", "regret", "prefer"]),
+    events=_EVENT_SPECS,
+    with_menu=st.booleans(),
+    ustar=_USTARS,
+    names=st.tuples(act_names(), act_names()),
+    as_json=st.booleans(),
+)
+def test_fuzzed_query_commands_never_raise(
+    fuzz_dir, documents, command, events, with_menu, ustar, names, as_json
+):
+    paths = [fuzz_dir / name for name in ("pset.json", "acts.json", "menu.json")]
+    for path, text in zip(paths, documents):
+        path.write_text(text)
+    argv = [command, "-p", str(paths[0])]
+    if command == "likelihood":
+        argv += ["-e", events]
+    else:
+        argv += ["-a", str(paths[1])]
+        argv += ["-m", str(paths[2])] if with_menu else []
+        # "--ustar -1/2" would read -1/2 as an option; "=" keeps it a value.
+        argv += [] if ustar is None else [f"--ustar={ustar}"]
+    argv += ["--json"] if as_json else []
+    if command == "prefer":
+        argv += list(names)
     assert_clean_exit(argv)
